@@ -456,6 +456,11 @@ impl EventLoop<'_> {
                     if stream.set_nonblocking(true).is_err() {
                         continue; // drop this connection, keep accepting
                     }
+                    // Responses are small writes that leave as the engine
+                    // finishes them; Nagle's algorithm would hold each one
+                    // until the peer acknowledges the previous. Failing to
+                    // set it only costs latency, so the connection stays.
+                    let _ = stream.set_nodelay(true);
                     let idx = match self.conns.iter().position(Option::is_none) {
                         Some(idx) => idx,
                         None => {

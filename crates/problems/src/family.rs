@@ -96,6 +96,12 @@ impl serde::Deserialize for InstanceData {
 /// Extends [`RelaxableProblem`] with the three family-level hooks the
 /// pipeline, store and serving engine need: the family name, the
 /// fixed-width feature vector, and the compact wire/store encoding.
+///
+/// Cost contract: an instance holds only its defining data. Featurising
+/// it never builds the penalty program; the first
+/// [`RelaxableProblem::to_qubo`] does (n³ couplings for TSP, n⁴ for QAP)
+/// and keeps it for every later call. Serving an upload therefore costs
+/// decode, featurisation and a forward pass, with no QUBO build.
 pub trait FamilyProblem: RelaxableProblem {
     /// Registered family name (`lookup_family(p.family())` resolves).
     fn family(&self) -> &'static str;
@@ -145,7 +151,8 @@ pub trait ProblemFamily: Send + Sync {
     ///
     /// Total on hostile input: every structural defect returns
     /// [`ProblemError`], never a panic — this runs on uploaded bytes in
-    /// a serving process.
+    /// a serving process. Decoding validates only: the penalty program
+    /// is built by the first `to_qubo` (see [`FamilyProblem`]).
     fn decode(&self, data: &InstanceData) -> Result<Box<dyn FamilyProblem>, ProblemError>;
 }
 

@@ -13,12 +13,11 @@
 //! minimisation convention of the other families.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mathkit::rng::derive_rng;
 use qubo::{ConstrainedBinaryProgram, LinearConstraint, QuboBuilder, QuboModel};
 
-use crate::{ProblemError, RelaxableProblem};
+use crate::{ProblemError, ProgramCache, RelaxableProblem};
 
 /// A knapsack instance and its QUBO encoding (items + slack bits).
 ///
@@ -33,14 +32,14 @@ use crate::{ProblemError, RelaxableProblem};
 /// assert!(inst.is_feasible(&x));
 /// assert_eq!(inst.fitness(&x), Some(-22.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnapsackInstance {
     name: String,
     values: Vec<f64>,
     weights: Vec<f64>,
     capacity: f64,
     slack_bits: usize,
-    program: ConstrainedBinaryProgram,
+    program: ProgramCache,
 }
 
 impl KnapsackInstance {
@@ -90,14 +89,13 @@ impl KnapsackInstance {
             });
         }
         let slack_bits = slack_bit_count(capacity as u64);
-        let program = build_program(&values, &weights, capacity, slack_bits);
         Ok(KnapsackInstance {
             name: name.to_string(),
             values,
             weights,
             capacity,
             slack_bits,
-            program,
+            program: ProgramCache::default(),
         })
     }
 
@@ -209,7 +207,11 @@ impl RelaxableProblem for KnapsackInstance {
     }
 
     fn to_qubo(&self, relaxation: f64) -> QuboModel {
-        self.program.to_qubo(relaxation)
+        self.program
+            .get_or_build(|| {
+                build_program(&self.values, &self.weights, self.capacity, self.slack_bits)
+            })
+            .to_qubo(relaxation)
     }
 
     // Feasibility is about the original inequality: the selected items

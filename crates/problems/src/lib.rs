@@ -54,7 +54,46 @@ pub use mvc::MvcInstance;
 pub use qap::QapInstance;
 pub use tsp::{TspEncoding, TspInstance};
 
-use qubo::QuboModel;
+use std::sync::OnceLock;
+
+use qubo::{ConstrainedBinaryProgram, QuboModel};
+
+/// A family's penalty program, built by the first call that needs it.
+///
+/// Constructors and [`ProblemFamily::decode`] only validate; serving an
+/// uploaded instance needs its features, never its QUBO, and the
+/// program is the costly part of an instance (n³ couplings for TSP, n⁴
+/// for QAP). The program is a pure function of the owner's defining
+/// data, so every two caches compare equal: a derived `PartialEq` on the
+/// owner compares exactly that data, whether or not either cache is
+/// filled. Racing first calls build once; the others wait for it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProgramCache(OnceLock<ConstrainedBinaryProgram>);
+
+#[cfg(test)]
+thread_local! {
+    /// Programs built on this thread, so tests can see when a build ran.
+    pub(crate) static PROGRAM_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl ProgramCache {
+    pub(crate) fn get_or_build(
+        &self,
+        build: impl FnOnce() -> ConstrainedBinaryProgram,
+    ) -> &ConstrainedBinaryProgram {
+        self.0.get_or_init(|| {
+            #[cfg(test)]
+            PROGRAM_BUILDS.with(|n| n.set(n.get() + 1));
+            build()
+        })
+    }
+}
+
+impl PartialEq for ProgramCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
 
 /// A constrained problem relaxed into QUBO form with a penalty parameter.
 ///
@@ -144,3 +183,131 @@ impl std::fmt::Display for ProblemError {
 }
 
 impl std::error::Error for ProblemError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn builds() -> usize {
+        PROGRAM_BUILDS.with(|n| n.get())
+    }
+
+    fn qubo_bits(q: &QuboModel) -> Vec<u64> {
+        let mut bits = vec![q.offset().to_bits()];
+        bits.extend(q.linear_terms().iter().map(|l| l.to_bits()));
+        for i in 0..q.num_vars() {
+            bits.push(q.degree(i) as u64);
+            bits.extend(q.neighbor_cols(i).iter().map(|&c| u64::from(c)));
+            bits.extend(q.neighbor_weights(i).iter().map(|w| w.to_bits()));
+        }
+        bits
+    }
+
+    fn decoded_corpus_head(family: &dyn ProblemFamily) -> Box<dyn FamilyProblem> {
+        let problem = &family.corpus(CorpusTier::Micro, 3)[0];
+        family
+            .decode(&problem.to_data())
+            .expect("corpus instance decodes")
+    }
+
+    #[test]
+    fn decode_and_features_leave_the_program_unbuilt() {
+        for family in registry() {
+            let cached = family.name() != "mvc";
+            let before = builds();
+            let problem = decoded_corpus_head(*family);
+            assert_eq!(problem.features().len(), family.feature_dim());
+            assert_eq!(
+                builds(),
+                before,
+                "{}: decode built the program",
+                family.name()
+            );
+            problem.to_qubo(1.0);
+            problem.to_qubo(2.0);
+            assert_eq!(
+                builds(),
+                before + usize::from(cached),
+                "{}: to_qubo must build once",
+                family.name()
+            );
+        }
+    }
+
+    fn check_clones<P: RelaxableProblem + Clone>(problem: P) {
+        let unfilled = problem.clone();
+        let first = qubo_bits(&problem.to_qubo(0.7));
+        let filled = problem.clone();
+        let before = builds();
+        assert_eq!(qubo_bits(&filled.to_qubo(0.7)), first, "{}", problem.name());
+        assert_eq!(
+            builds(),
+            before,
+            "{}: a filled clone rebuilt",
+            problem.name()
+        );
+        assert_eq!(
+            qubo_bits(&unfilled.to_qubo(0.7)),
+            first,
+            "{}",
+            problem.name()
+        );
+        assert_eq!(builds(), before + 1, "{}", problem.name());
+    }
+
+    #[test]
+    fn clones_before_and_after_the_first_build_agree() {
+        let tsp = TspInstance::from_coords("t", &[(0.0, 0.0), (2.0, 1.0), (1.0, 3.0), (4.0, 4.0)]);
+        check_clones(TspEncoding::preprocessed(tsp));
+        check_clones(QapInstance::random("q", 5, 1));
+        check_clones(MaxCutInstance::random_gnp("m", 10, 0.5, 2));
+        check_clones(KnapsackInstance::random("k", 9, 3));
+    }
+
+    #[test]
+    fn racing_first_builds_build_once_and_agree() {
+        const THREADS: usize = 4;
+        for family in registry() {
+            let problem = decoded_corpus_head(*family);
+            let barrier = Barrier::new(THREADS);
+            let results: Vec<(Vec<u64>, usize)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            (qubo_bits(&problem.to_qubo(1.5)), builds())
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("racing thread panicked"))
+                    .collect()
+            });
+            let total: usize = results.iter().map(|(_, n)| n).sum();
+            assert_eq!(
+                total,
+                usize::from(family.name() != "mvc"),
+                "{}: racing threads built {total} programs",
+                family.name()
+            );
+            for (bits, _) in &results {
+                assert_eq!(bits, &results[0].0, "{}", family.name());
+            }
+        }
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_program_is_built() {
+        fn check<P: RelaxableProblem + Clone + PartialEq + std::fmt::Debug>(problem: P) {
+            let unfilled = problem.clone();
+            problem.to_qubo(1.0);
+            assert_eq!(problem, unfilled);
+            assert_eq!(unfilled, problem);
+        }
+        check(QapInstance::random("q", 4, 5));
+        check(MaxCutInstance::random_gnp("m", 8, 0.5, 6));
+        check(KnapsackInstance::random("k", 6, 7));
+    }
+}

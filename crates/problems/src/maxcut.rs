@@ -13,12 +13,11 @@
 //! * constraint: `Σ_i x_i = ⌊n/2⌋` via [`LinearConstraint`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mathkit::rng::derive_rng;
 use qubo::{ConstrainedBinaryProgram, LinearConstraint, QuboBuilder, QuboModel};
 
-use crate::{ProblemError, RelaxableProblem};
+use crate::{ProblemError, ProgramCache, RelaxableProblem};
 
 /// A balanced Max-Cut instance and its QUBO encoding.
 ///
@@ -34,12 +33,12 @@ use crate::{ProblemError, RelaxableProblem};
 /// assert!(inst.is_feasible(&x));
 /// assert_eq!(inst.fitness(&x), Some(-4.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaxCutInstance {
     name: String,
     num_vertices: usize,
     edges: Vec<(u32, u32, f64)>,
-    program: ConstrainedBinaryProgram,
+    program: ProgramCache,
 }
 
 impl MaxCutInstance {
@@ -80,12 +79,11 @@ impl MaxCutInstance {
                 });
             }
         }
-        let program = build_program(n, &edges);
         Ok(MaxCutInstance {
             name: name.to_string(),
             num_vertices: n,
             edges,
-            program,
+            program: ProgramCache::default(),
         })
     }
 
@@ -165,7 +163,9 @@ impl RelaxableProblem for MaxCutInstance {
     }
 
     fn to_qubo(&self, relaxation: f64) -> QuboModel {
-        self.program.to_qubo(relaxation)
+        self.program
+            .get_or_build(|| build_program(self.num_vertices, &self.edges))
+            .to_qubo(relaxation)
     }
 
     fn is_feasible(&self, x: &[u8]) -> bool {

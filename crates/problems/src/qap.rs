@@ -12,13 +12,12 @@
 //! column constraints relaxed with parameter `A`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use mathkit::rng::derive_rng;
 use mathkit::Matrix;
 use qubo::{ConstrainedBinaryProgram, LinearConstraint, QuboBuilder, QuboModel};
 
-use crate::RelaxableProblem;
+use crate::{ProgramCache, RelaxableProblem};
 
 /// A QAP instance and its QUBO encoding.
 ///
@@ -31,12 +30,12 @@ use crate::RelaxableProblem;
 /// assert!(inst.is_feasible(&x));
 /// assert!(inst.fitness(&x).is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QapInstance {
     name: String,
     flow: Matrix,
     dist: Matrix,
-    program: ConstrainedBinaryProgram,
+    program: ProgramCache,
 }
 
 impl QapInstance {
@@ -59,12 +58,11 @@ impl QapInstance {
                 message: "non-finite matrix entry".to_string(),
             });
         }
-        let program = build_program(&flow, &dist);
         Ok(QapInstance {
             name: name.to_string(),
             flow,
             dist,
-            program,
+            program: ProgramCache::default(),
         })
     }
 
@@ -220,7 +218,9 @@ impl RelaxableProblem for QapInstance {
     }
 
     fn to_qubo(&self, relaxation: f64) -> QuboModel {
-        self.program.to_qubo(relaxation)
+        self.program
+            .get_or_build(|| build_program(&self.flow, &self.dist))
+            .to_qubo(relaxation)
     }
 
     fn is_feasible(&self, x: &[u8]) -> bool {

@@ -16,11 +16,10 @@
 //! landscape, post-processing restores original units).
 
 use qubo::{ConstrainedBinaryProgram, LinearConstraint, QuboBuilder, QuboModel};
-use serde::{Deserialize, Serialize};
 
 use super::preprocess::{normalize_mean_distance, Mvodm};
 use super::TspInstance;
-use crate::RelaxableProblem;
+use crate::{ProgramCache, RelaxableProblem};
 
 /// TSP → QUBO encoder and decoder.
 ///
@@ -36,14 +35,14 @@ use crate::RelaxableProblem;
 /// let fitness = enc.fitness(&x).unwrap();
 /// assert!((fitness - (2.0 + 2.0_f64.sqrt())).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TspEncoding {
     /// instance whose distances build `HB`
     qubo_instance: TspInstance,
     /// instance whose distances score fitness (the untouched original)
     fitness_instance: TspInstance,
-    /// cached penalty program over the `qubo_instance`
-    program: ConstrainedBinaryProgram,
+    /// penalty program over the `qubo_instance`, built on first use
+    program: ProgramCache,
     /// multiplicative factor applied to the original distances when the
     /// encoding was built with normalisation (1.0 otherwise)
     scale: f64,
@@ -52,11 +51,10 @@ pub struct TspEncoding {
 impl TspEncoding {
     /// Encodes `instance` as-is (no pre-processing).
     pub fn new(instance: TspInstance) -> Self {
-        let program = build_program(&instance);
         TspEncoding {
             qubo_instance: instance.clone(),
             fitness_instance: instance,
-            program,
+            program: ProgramCache::default(),
             scale: 1.0,
         }
     }
@@ -69,11 +67,10 @@ impl TspEncoding {
     pub fn preprocessed(instance: TspInstance) -> Self {
         let (normalized, scale) = normalize_mean_distance(&instance);
         let flattened = Mvodm::fit(&normalized).transform(&normalized);
-        let program = build_program(&flattened);
         TspEncoding {
             qubo_instance: flattened,
             fitness_instance: instance,
-            program,
+            program: ProgramCache::default(),
             scale,
         }
     }
@@ -156,12 +153,17 @@ impl TspEncoding {
 
     /// The QUBO objective part `HB` alone (relaxation 0).
     pub fn objective_qubo(&self) -> QuboModel {
-        self.program.objective().clone()
+        self.program().objective().clone()
     }
 
     /// The constraint penalty `HA(x)` of an assignment.
     pub fn constraint_penalty(&self, x: &[u8]) -> f64 {
-        self.program.penalty_value(x)
+        self.program().penalty_value(x)
+    }
+
+    fn program(&self) -> &ConstrainedBinaryProgram {
+        self.program
+            .get_or_build(|| build_program(&self.qubo_instance))
     }
 }
 
@@ -208,7 +210,7 @@ impl RelaxableProblem for TspEncoding {
     }
 
     fn to_qubo(&self, relaxation: f64) -> QuboModel {
-        self.program.to_qubo(relaxation)
+        self.program().to_qubo(relaxation)
     }
 
     fn is_feasible(&self, x: &[u8]) -> bool {
